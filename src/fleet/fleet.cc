@@ -365,6 +365,7 @@ Fleet::Totals Fleet::totals() const {
     t.instructions += machine.instructions_executed();
     t.interrupts += machine.interrupts_dispatched();
     t.faults += machine.fault_count();
+    t.attestations += device->attest_total_;
     if (device->attested_) {
       ++t.attested;
       if (device->outcome_.ok()) {

@@ -203,6 +203,7 @@ class Fleet {
     std::uint64_t faults = 0;
     std::size_t attested = 0;
     std::size_t verified = 0;
+    std::uint64_t attestations = 0;  ///< sum of attest_total(): every sweep and retry
   };
   [[nodiscard]] Totals totals() const;
 

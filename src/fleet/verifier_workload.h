@@ -40,7 +40,7 @@ struct WorkloadConfig {
 struct WorkloadResult {
   Status status;                 ///< first device or assembly error
   std::size_t devices = 0;
-  std::size_t attested = 0;
+  std::size_t attested = 0;      ///< devices holding a report
   std::size_t verified = 0;
   Fleet::Totals totals{};
   // Host-side timing (wall clock; excluded from any determinism contract).
@@ -51,8 +51,10 @@ struct WorkloadResult {
   [[nodiscard]] double devices_per_sec() const {
     return total_seconds > 0.0 ? static_cast<double>(devices) / total_seconds : 0.0;
   }
+  /// Attestations (every device, every sweep) per second of the attest phase.
   [[nodiscard]] double attests_per_sec() const {
-    return attest_seconds > 0.0 ? static_cast<double>(attested) / attest_seconds : 0.0;
+    return attest_seconds > 0.0 ? static_cast<double>(totals.attestations) / attest_seconds
+                                : 0.0;
   }
   [[nodiscard]] bool all_verified() const {
     return status.is_ok() && verified == devices;

@@ -1,10 +1,11 @@
 #include "obs/heat.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace tytan::obs {
 
@@ -18,18 +19,6 @@ constexpr std::string_view kOtherBucketNames[HeatProfile::kMpuOtherBuckets] = {
 
 constexpr std::string_view kAccessKindNames[HeatProfile::kMpuAccessKinds] = {
     "read", "write", "execute"};
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
 
 std::string fallback_opcode_name(std::uint8_t op) {
   char buf[8];
@@ -206,47 +195,8 @@ void HeatProfile::clear() {
 
 namespace {
 
-std::int64_t find_int(std::string_view line, std::string_view key,
-                      std::int64_t fallback) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return fallback;
-  }
-  std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() &&
-         (line[end] == '-' || (line[end] >= '0' && line[end] <= '9'))) {
-    ++end;
-  }
-  std::int64_t value = fallback;
-  std::from_chars(line.data() + begin, line.data() + end, value);
-  return value;
-}
-
-std::string find_str(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return {};
-  }
-  const std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() && !(line[end] == '"' && line[end - 1] != '\\')) {
-    ++end;
-  }
-  std::string out;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (line[i] == '\\' && i + 1 < end) {
-      ++i;
-    }
-    out += line[i];
-  }
-  return out;
-}
-
 std::uint64_t u64(std::string_view line, std::string_view key) {
-  return static_cast<std::uint64_t>(find_int(line, key, 0));
+  return static_cast<std::uint64_t>(json_int_field(line, key, 0));
 }
 
 }  // namespace
@@ -263,7 +213,7 @@ Result<HeatLog> parse_heat_jsonl(std::string_view text) {
     if (line.empty()) {
       continue;
     }
-    const std::string type = find_str(line, "type");
+    const std::string type = json_str_field(line, "type");
     if (type == "heat-header") {
       log.schema = static_cast<int>(u64(line, "schema"));
       if (log.schema != HeatProfile::kSchemaVersion) {
@@ -274,8 +224,8 @@ Result<HeatLog> parse_heat_jsonl(std::string_view text) {
       }
     } else if (type == "region") {
       HeatProfile::Region region;
-      region.task = static_cast<std::int32_t>(find_int(line, "task", -1));
-      region.name = find_str(line, "name");
+      region.task = static_cast<std::int32_t>(json_int_field(line, "task", -1));
+      region.name = json_str_field(line, "name");
       region.base = static_cast<std::uint32_t>(u64(line, "base"));
       region.size = static_cast<std::uint32_t>(u64(line, "size"));
       log.profile.regions.push_back(std::move(region));
@@ -294,10 +244,10 @@ Result<HeatLog> parse_heat_jsonl(std::string_view text) {
       stat.count = u64(line, "count");
       stat.ns_total = u64(line, "ns_total");
       stat.ns_samples = u64(line, "ns_samples");
-      log.mnemonics[op] = find_str(line, "mnemonic");
+      log.mnemonics[op] = json_str_field(line, "mnemonic");
     } else if (type == "mpu") {
-      const std::string access = find_str(line, "access");
-      const std::string rule = find_str(line, "rule");
+      const std::string access = json_str_field(line, "access");
+      const std::string rule = json_str_field(line, "rule");
       std::size_t kind = HeatProfile::kMpuAccessKinds;
       for (std::size_t k = 0; k < HeatProfile::kMpuAccessKinds; ++k) {
         if (access == HeatProfile::access_kind_name(k)) {

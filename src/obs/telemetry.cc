@@ -1,7 +1,8 @@
 #include "obs/telemetry.h"
 
-#include <charconv>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace tytan::obs {
 
@@ -203,18 +204,6 @@ void append_snapshot_json(std::ostringstream& os, const HealthSnapshot& s) {
      << R"(,"halted":)" << (s.halted ? 1 : 0) << "}\n";
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
 void append_anomaly_json(std::ostringstream& os, const Anomaly& a) {
   os << R"({"type":"anomaly","device":)" << a.device << R"(,"rule":")" << a.rule
      << R"(","seq":)" << a.seq << R"(,"cycle":)" << a.cycle << R"(,"message":")"
@@ -249,46 +238,8 @@ std::string TelemetryHub::to_jsonl() const {
 
 namespace {
 
-std::int64_t find_int(std::string_view line, std::string_view key, std::int64_t fallback) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return fallback;
-  }
-  std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() &&
-         (line[end] == '-' || (line[end] >= '0' && line[end] <= '9'))) {
-    ++end;
-  }
-  std::int64_t value = fallback;
-  std::from_chars(line.data() + begin, line.data() + end, value);
-  return value;
-}
-
-std::string find_str(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return {};
-  }
-  const std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() && !(line[end] == '"' && line[end - 1] != '\\')) {
-    ++end;
-  }
-  std::string out;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (line[i] == '\\' && i + 1 < end) {
-      ++i;
-    }
-    out += line[i];
-  }
-  return out;
-}
-
 std::uint64_t u64(std::string_view line, std::string_view key) {
-  return static_cast<std::uint64_t>(find_int(line, key, 0));
+  return static_cast<std::uint64_t>(json_int_field(line, key, 0));
 }
 
 }  // namespace
@@ -301,7 +252,7 @@ Result<TelemetryLog> parse_telemetry_jsonl(std::string_view text) {
     if (line.empty()) {
       continue;
     }
-    const std::string type = find_str(line, "type");
+    const std::string type = json_str_field(line, "type");
     if (type == "snapshot") {
       HealthSnapshot s;
       s.device = static_cast<std::uint32_t>(u64(line, "device"));
@@ -329,10 +280,10 @@ Result<TelemetryLog> parse_telemetry_jsonl(std::string_view text) {
     } else if (type == "anomaly") {
       TelemetryLog::ParsedAnomaly a;
       a.device = static_cast<std::uint32_t>(u64(line, "device"));
-      a.rule = find_str(line, "rule");
+      a.rule = json_str_field(line, "rule");
       a.seq = u64(line, "seq");
       a.cycle = u64(line, "cycle");
-      a.message = find_str(line, "message");
+      a.message = json_str_field(line, "message");
       // Count flight entries by their per-event "kind" keys.
       const std::size_t flight_pos = line.find("\"flight\":[");
       if (flight_pos != std::string::npos) {

@@ -1,46 +1,11 @@
 #include "obs/trace_reader.h"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace tytan::obs {
-
-namespace {
-
-/// Value of `"key":<number>` in `line`, or `fallback` when absent.
-std::int64_t find_int(std::string_view line, std::string_view key, std::int64_t fallback) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return fallback;
-  }
-  std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  while (end < line.size() &&
-         (line[end] == '-' || (line[end] >= '0' && line[end] <= '9'))) {
-    ++end;
-  }
-  std::int64_t value = fallback;
-  std::from_chars(line.data() + begin, line.data() + end, value);
-  return value;
-}
-
-/// Value of `"key":"<string>"` in `line` (no unescaping — the writer only
-/// escapes characters that task names cannot contain in practice).
-std::string find_str(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    return {};
-  }
-  const std::size_t begin = pos + needle.size();
-  const std::size_t end = line.find('"', begin);
-  return end == std::string_view::npos ? std::string{}
-                                       : std::string(line.substr(begin, end - begin));
-}
-
-}  // namespace
 
 Result<Trace> parse_chrome_trace(std::string_view json) {
   if (json.find("\"traceEvents\"") == std::string_view::npos) {
@@ -50,32 +15,32 @@ Result<Trace> parse_chrome_trace(std::string_view json) {
   std::istringstream in{std::string(json)};
   std::string line;
   while (std::getline(in, line)) {
-    const std::string ph = find_str(line, "ph");
+    const std::string ph = json_str_field(line, "ph");
     if (ph == "M") {
-      const std::string name = find_str(line, "name");
+      const std::string name = json_str_field(line, "name");
       if (name == "thread_name") {
-        trace.thread_names[static_cast<int>(find_int(line, "tid", 0))] =
-            find_str(line, "args\":{\"name");
+        trace.thread_names[static_cast<int>(json_int_field(line, "tid", 0))] =
+            json_str_field(line, "args\":{\"name");
       } else if (name == "tytan_event_bus") {
-        trace.recorded_events = static_cast<std::uint64_t>(find_int(line, "recorded", 0));
-        trace.dropped_events = static_cast<std::uint64_t>(find_int(line, "dropped", 0));
+        trace.recorded_events = static_cast<std::uint64_t>(json_int_field(line, "recorded", 0));
+        trace.dropped_events = static_cast<std::uint64_t>(json_int_field(line, "dropped", 0));
       }
     } else if (ph == "X") {
-      trace.slices.push_back({static_cast<int>(find_int(line, "tid", 0)),
-                              static_cast<std::uint64_t>(find_int(line, "cycle", 0)),
-                              static_cast<std::uint64_t>(find_int(line, "dur_cycles", 0))});
+      trace.slices.push_back({static_cast<int>(json_int_field(line, "tid", 0)),
+                              static_cast<std::uint64_t>(json_int_field(line, "cycle", 0)),
+                              static_cast<std::uint64_t>(json_int_field(line, "dur_cycles", 0))});
     } else if (ph == "i") {
-      if (find_str(line, "name") == "prof-sample") {
-        trace.samples.push_back({static_cast<std::uint64_t>(find_int(line, "cycle", 0)),
-                                 static_cast<std::uint32_t>(find_int(line, "pc", 0)),
-                                 static_cast<std::int32_t>(find_int(line, "task", -1)),
-                                 find_str(line, "frame")});
+      if (json_str_field(line, "name") == "prof-sample") {
+        trace.samples.push_back({static_cast<std::uint64_t>(json_int_field(line, "cycle", 0)),
+                                 static_cast<std::uint32_t>(json_int_field(line, "pc", 0)),
+                                 static_cast<std::int32_t>(json_int_field(line, "task", -1)),
+                                 json_str_field(line, "frame")});
       } else {
-        trace.events.push_back({find_str(line, "name"),
-                                static_cast<std::uint64_t>(find_int(line, "cycle", 0)),
-                                static_cast<std::int32_t>(find_int(line, "task", -1)),
-                                static_cast<std::uint32_t>(find_int(line, "a", 0)),
-                                static_cast<std::uint32_t>(find_int(line, "b", 0))});
+        trace.events.push_back({json_str_field(line, "name"),
+                                static_cast<std::uint64_t>(json_int_field(line, "cycle", 0)),
+                                static_cast<std::int32_t>(json_int_field(line, "task", -1)),
+                                static_cast<std::uint32_t>(json_int_field(line, "a", 0)),
+                                static_cast<std::uint32_t>(json_int_field(line, "b", 0))});
       }
     }
   }

@@ -78,9 +78,10 @@ struct DecodedOp {
   void (*exec)(Machine&, const DecodedOp&) = nullptr;
   std::uint8_t base_cycles = 0;
   TransferMemo transfer = TransferMemo::kUnknown;
-  /// Memoized policy->classify(pc, pc, kExecute) — replayed into the heat
-  /// recorder's MPU counters so observatory profiles are identical across
-  /// dispatch modes.  kCheckNoPolicy when built without a policy.
+  /// Memoized policy->classify(pc, pc, kExecute) — replayed into the tracer
+  /// verdict and the heat recorder's MPU counters so observatory output is
+  /// identical across dispatch modes.  kCheckNoPolicy when built without a
+  /// policy.
   int fetch_class = kCheckNoPolicy;
 };
 

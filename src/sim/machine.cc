@@ -241,19 +241,14 @@ std::string_view Machine::firmware_name(std::uint32_t addr) const {
 // Memory paths
 // ---------------------------------------------------------------------------
 
-bool Machine::check(std::uint32_t exec_ip, std::uint32_t addr, Access access) const {
-  if (heat_ == nullptr) {
-    return policy_ == nullptr || policy_->allows(exec_ip, addr, access);
+int Machine::classify_access(std::uint32_t exec_ip, std::uint32_t addr,
+                             Access access) const {
+  const int code =
+      policy_ == nullptr ? kCheckNoPolicy : policy_->classify(exec_ip, addr, access);
+  if (heat_ != nullptr) {
+    heat_->count_check(static_cast<int>(access), code);
   }
-  // Observatory enabled: also ask the policy *which* rule decided.  The
-  // verdict still comes from allows() — classify() is attribution only, so a
-  // policy without a classify() override stays correct (its checks land in
-  // the "unclassified" bucket).
-  const bool allowed = policy_ == nullptr || policy_->allows(exec_ip, addr, access);
-  heat_->count_check(static_cast<int>(access),
-                     policy_ == nullptr ? kCheckNoPolicy
-                                        : policy_->classify(exec_ip, addr, access));
-  return allowed;
+  return code;
 }
 
 bool Machine::raw_read32(std::uint32_t addr, std::uint32_t* out) {
@@ -548,14 +543,6 @@ StepOutcome Machine::step() {
   if (dispatch_ == DispatchMode::kCached && execute_one_cached()) {
     return halted() ? StepOutcome::kHalted : StepOutcome::kOk;
   }
-  if (tracer_ != nullptr && memory_.in_bounds(cpu_.eip, 4) && !is_mmio(cpu_.eip)) {
-    const int verdict = policy_ == nullptr ? Tracer::kVerdictNone
-                        : policy_->allows(cpu_.eip, cpu_.eip, Access::kExecute)
-                            ? Tracer::kVerdictAllowed
-                            : Tracer::kVerdictDenied;
-    tracer_->record(cycles_, cpu_.eip, memory_.read32(cpu_.eip), {},
-                    current_task_context(), verdict);
-  }
   execute_one();
   return halted() ? StepOutcome::kHalted : StepOutcome::kOk;
 }
@@ -584,11 +571,18 @@ HaltReason Machine::run(std::uint64_t cycle_limit) {
 
 void Machine::execute_one() {
   const std::uint32_t pc = cpu_.eip;
-  if (!check(pc, pc, Access::kExecute)) {
+  // One policy walk per fetch: the code feeds the fault, the heat counter
+  // (inside classify_access), and the tracer verdict.
+  const int fetch_class = classify_access(pc, pc, Access::kExecute);
+  const bool fetchable = !is_mmio(pc) && memory_.in_bounds(pc, 4);
+  if (tracer_ != nullptr && fetchable) {
+    trace_fetch(pc, memory_.read32(pc), fetch_class);
+  }
+  if (fetch_class == kCheckDenied) {
     raise_fault({FaultType::kMpuFetch, pc, pc, Access::kExecute});
     return;
   }
-  if (is_mmio(pc) || !memory_.in_bounds(pc, 4)) {
+  if (!fetchable) {
     raise_fault({FaultType::kBusError, pc, pc, Access::kExecute});
     return;
   }
@@ -609,25 +603,7 @@ void Machine::execute_one() {
   op.base_cycles = variant.base_cycles;
   charge(variant.base_cycles);
   ++instructions_;
-
-  if (heat_ == nullptr) {  // hot path: observatory off costs one null check
-    execute_op(op);
-    return;
-  }
-  if (heat_->on_instruction(pc, static_cast<std::uint8_t>(op.instr.opcode))) {
-    // Sampled dispatch: attribute host nanoseconds to this opcode.  Host
-    // clocks never feed back into simulated state, so cycle counts stay
-    // bit-identical with the observatory on or off.
-    const auto t0 = std::chrono::steady_clock::now();
-    execute_op(op);
-    const auto t1 = std::chrono::steady_clock::now();
-    heat_->attribute(
-        static_cast<std::uint8_t>(op.instr.opcode),
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
-  } else {
-    execute_op(op);
-  }
+  execute_op_observed(op);
 }
 
 void Machine::run_cached_op(const DecodedOp& op) {
@@ -639,37 +615,41 @@ void Machine::run_cached_op(const DecodedOp& op) {
     execute_op(op);
     return;
   }
+  // Replay the memoized fetch classification — cached fetches skip the
+  // policy walk, but tracer rings and heat profiles must be identical across
+  // dispatch modes (a denied fetch never enters a block).
   if (tracer_ != nullptr) {
-    // Same record the interpreter path emits: the memoized word, and the
-    // fetch verdict every cached op has by construction (a denied fetch
-    // never enters a block).
-    tracer_->record(cycles_, op.pc, op.word, {}, current_task_context(),
-                    policy_ == nullptr ? Tracer::kVerdictNone
-                                       : Tracer::kVerdictAllowed);
+    trace_fetch(op.pc, op.word, op.fetch_class);
   }
   if (heat_ != nullptr) {
-    // Replay the memoized classify() code into the MPU counters — cached
-    // fetches skip the policy walk, but heat profiles must be identical
-    // across dispatch modes.
     heat_->count_check(static_cast<int>(Access::kExecute), op.fetch_class);
   }
   charge(op.base_cycles);
   ++instructions_;
-  if (heat_ == nullptr) {
+  execute_op_observed(op);
+}
+
+void Machine::trace_fetch(std::uint32_t pc, std::uint32_t word, int fetch_class) {
+  const int verdict = policy_ == nullptr ? Tracer::kVerdictNone
+                      : fetch_class == kCheckDenied ? Tracer::kVerdictDenied
+                                                    : Tracer::kVerdictAllowed;
+  tracer_->record(cycles_, pc, word, {}, current_task_context(), verdict);
+}
+
+void Machine::execute_op_observed(const DecodedOp& op) {
+  const auto opcode = static_cast<std::uint8_t>(op.instr.opcode);
+  if (heat_ == nullptr || !heat_->on_instruction(op.pc, opcode)) {
     execute_op(op);
     return;
   }
-  if (heat_->on_instruction(op.pc, static_cast<std::uint8_t>(op.instr.opcode))) {
-    const auto t0 = std::chrono::steady_clock::now();
-    execute_op(op);
-    const auto t1 = std::chrono::steady_clock::now();
-    heat_->attribute(
-        static_cast<std::uint8_t>(op.instr.opcode),
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
-  } else {
-    execute_op(op);
-  }
+  // Sampled dispatch: attribute host nanoseconds to this opcode.  Host
+  // clocks never feed back into simulated state, so cycle counts stay
+  // bit-identical with the observatory on or off.
+  const auto t0 = std::chrono::steady_clock::now();
+  execute_op(op);
+  const auto t1 = std::chrono::steady_clock::now();
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+  heat_->attribute(opcode, static_cast<std::uint64_t>(ns));
 }
 
 bool Machine::execute_one_cached() {
@@ -711,7 +691,9 @@ DecodeCache::Block Machine::build_block(std::uint32_t pc) const {
     if (firmware_.contains(p) || is_mmio(p) || !memory_.in_bounds(p, 4)) {
       break;
     }
-    if (policy_ != nullptr && !policy_->allows(p, p, Access::kExecute)) {
+    const int fetch_class =
+        policy_ == nullptr ? kCheckNoPolicy : policy_->classify(p, p, Access::kExecute);
+    if (fetch_class == kCheckDenied) {
       break;
     }
     const std::uint32_t word = memory_.read32(p);
@@ -726,9 +708,7 @@ DecodeCache::Block Machine::build_block(std::uint32_t pc) const {
     const OpVariant& variant = op_table()[static_cast<std::size_t>(op.instr.opcode)];
     op.exec = variant.exec;
     op.base_cycles = variant.base_cycles;
-    op.fetch_class = policy_ == nullptr
-                         ? kCheckNoPolicy
-                         : policy_->classify(p, p, Access::kExecute);
+    op.fetch_class = fetch_class;
     const std::uint32_t next = p + isa::kInstrSize;
     bool terminator = false;
     switch (op.instr.opcode) {

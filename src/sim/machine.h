@@ -268,7 +268,14 @@ class Machine {
   friend struct MachineOps;
 
   [[nodiscard]] std::int32_t current_task_context() const;
-  [[nodiscard]] bool check(std::uint32_t exec_ip, std::uint32_t addr, Access access) const;
+  /// The EA-MPU choke point for every fetch, load, and store: one
+  /// policy->classify() walk, counted into the heat profile when the
+  /// observatory is on.
+  [[nodiscard]] int classify_access(std::uint32_t exec_ip, std::uint32_t addr,
+                                    Access access) const;
+  [[nodiscard]] bool check(std::uint32_t exec_ip, std::uint32_t addr, Access access) const {
+    return classify_access(exec_ip, addr, access) != kCheckDenied;
+  }
   [[nodiscard]] bool is_mmio(std::uint32_t addr) const {
     return addr >= kMmioBase && addr < kMmioBase + kMmioSize;
   }
@@ -282,11 +289,16 @@ class Machine {
   void dispatch_pending();
   void execute_one();
   /// Dispatch one decoded instruction through its OpVariant handler (the
-  /// former opcode switch, factored into machine_ops.cc).  Split out of
-  /// execute_one so the heat recorder can host-time a sampled dispatch
-  /// without touching the interpreter body.  Both dispatch modes funnel
-  /// through this — a single implementation per opcode cannot diverge.
+  /// former opcode switch, factored into machine_ops.cc).  Both dispatch
+  /// modes funnel through this — a single implementation per opcode cannot
+  /// diverge.
   void execute_op(const DecodedOp& op);
+  /// execute_op behind the heat recorder's per-instruction hook, host-timing
+  /// the sampled dispatches.  Shared by both dispatch modes.
+  void execute_op_observed(const DecodedOp& op);
+  /// Record one fetch in the tracer ring (tracer must be on); `fetch_class`
+  /// is the fetch's classify() code, live or memoized.
+  void trace_fetch(std::uint32_t pc, std::uint32_t word, int fetch_class);
 
   // Cached-dispatch slow path: sync the cache with the policy epoch, look up
   // or build the block at EIP, park the cursor, and run its first op.

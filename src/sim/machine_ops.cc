@@ -212,16 +212,22 @@ struct MachineOps {
     branch_if(m, op, !m.cpu_.flag(isa::kFlagC));
   }
 
-  static void jmpr(Machine& m, const DecodedOp& op) {
+  /// jmpr/callr tail: report the register target to the heat recorder and
+  /// the indirect-branch hook, then attempt the transfer.
+  static void indirect_transfer(Machine& m, const DecodedOp& op, bool is_call) {
     const std::uint32_t target = m.cpu_.regs[op.instr.ra];
     if (m.heat_ != nullptr) {
-      m.heat_->record_edge(op.pc, target, /*is_call=*/false);
+      m.heat_->record_edge(op.pc, target, is_call);
     }
     if (m.indirect_branch_hook_) {
-      m.indirect_branch_hook_(op.pc, target, /*is_call=*/false);
+      m.indirect_branch_hook_(op.pc, target, is_call);
     }
     m.cpu_.eip = op.pc;
     m.guest_transfer(target);
+  }
+
+  static void jmpr(Machine& m, const DecodedOp& op) {
+    indirect_transfer(m, op, /*is_call=*/false);
   }
 
   static void call(Machine& m, const DecodedOp& op) {
@@ -239,15 +245,7 @@ struct MachineOps {
     if (!m.guest_push32(next)) {
       return;
     }
-    const std::uint32_t target = m.cpu_.regs[op.instr.ra];
-    if (m.heat_ != nullptr) {
-      m.heat_->record_edge(op.pc, target, /*is_call=*/true);
-    }
-    if (m.indirect_branch_hook_) {
-      m.indirect_branch_hook_(op.pc, target, /*is_call=*/true);
-    }
-    m.cpu_.eip = op.pc;
-    m.guest_transfer(target);
+    indirect_transfer(m, op, /*is_call=*/true);
   }
 
   static void ret(Machine& m, const DecodedOp& op) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/json.h"
 #include "common/status.h"
 
 namespace tytan {
@@ -88,6 +89,17 @@ TEST(Result, ConstructingFromOkStatusIsInternalError) {
   Result<int> bad = Status::ok();
   EXPECT_FALSE(bad.is_ok());
   EXPECT_EQ(bad.status().code(), Err::kInternal);
+}
+
+TEST(Json, EscapeAndFieldLookupRoundTrip) {
+  const std::string text = "a\"b\\c\nd\te\x01\x1f end\\";
+  EXPECT_EQ(json_escape(text), R"(a\"b\\c\nd\te\u0001\u001f end\\)");
+  const std::string line = R"({"n":-42,"s":")" + json_escape(text) + R"(","t":"x"})";
+  EXPECT_EQ(json_str_field(line, "s"), text);
+  EXPECT_EQ(json_str_field(line, "t"), "x");
+  EXPECT_EQ(json_str_field(line, "missing"), "");
+  EXPECT_EQ(json_int_field(line, "n", 0), -42);
+  EXPECT_EQ(json_int_field(line, "missing", 7), 7);
 }
 
 }  // namespace

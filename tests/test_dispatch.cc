@@ -5,7 +5,9 @@
 // and the fault stream after every single step().  This doubles as the
 // decode-cache regression corpus: interrupt/fault edge paths, self-modifying
 // code, firmware collisions, and fuzzed instruction words all ride through
-// both paths.
+// both paths.  The same programs also run with the heat observatory and the
+// tracer on: cached mode replays memoized fetch classifications, and the
+// heat profile and tracer ring must come out identical to the interpreter's.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -13,7 +15,10 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "hw/eampu.h"
 #include "isa/assembler.h"
 #include "sim/decode_cache.h"
 #include "sim/devices.h"
@@ -114,8 +119,10 @@ void differential(std::string_view source, std::uint64_t steps = 20'000,
             0u);
 }
 
-TEST(Dispatch, StraightLineArithmetic) {
-  differential(R"(
+// Programs shared by the lockstep tests and the observability-identity
+// test below.
+
+constexpr std::string_view kStraightLine = R"(
       movi r0, 10
       addi r0, 5
       movi r1, 3
@@ -124,11 +131,9 @@ TEST(Dispatch, StraightLineArithmetic) {
       mul  r2, r0
       li   r3, 0xdeadbeef
       hlt
-  )");
-}
+  )";
 
-TEST(Dispatch, LoopsAndBranches) {
-  differential(R"(
+constexpr std::string_view kLoopsAndBranches = R"(
       movi r0, 0
       movi r1, 200
   loop:
@@ -141,11 +146,9 @@ TEST(Dispatch, LoopsAndBranches) {
       cmpi r2, 600
       jnz  down
       hlt
-  )");
-}
+  )";
 
-TEST(Dispatch, MemoryTraffic) {
-  differential(R"(
+constexpr std::string_view kMemoryTraffic = R"(
       li   r2, data
       movi r0, 0
   loop:
@@ -160,11 +163,9 @@ TEST(Dispatch, MemoryTraffic) {
       hlt
   data:
       .word 0x01020304
-  )");
-}
+  )";
 
-TEST(Dispatch, CallRetAndJumpTable) {
-  differential(R"(
+constexpr std::string_view kCallRetAndJumpTable = R"(
       movi r5, 0
   main:
       call bump
@@ -193,11 +194,9 @@ TEST(Dispatch, CallRetAndJumpTable) {
       ret
   table:
       .word case0, case1, case2, case3
-  )");
-}
+  )";
 
-TEST(Dispatch, SoftwareInterruptRoundTrip) {
-  differential(R"(
+constexpr std::string_view kSoftwareInterrupt = R"(
       sti
       movi r5, 0
   loop:
@@ -208,16 +207,13 @@ TEST(Dispatch, SoftwareInterruptRoundTrip) {
   handler:
       addi r5, 1
       iret
-  )",
-               20'000, {{kVecSyscall, "handler"}});
-}
+  )";
 
-TEST(Dispatch, SelfModifyingCodeInvalidates) {
-  // The loop body overwrites its own next instruction: first pass stores a
-  // `movi r6, 7` word over the `movi r6, 1` site, so the second pass must
-  // decode the NEW word.  The interpreter re-fetches naturally; the cache
-  // must observe the store through the write watch and rebuild.
-  differential(R"(
+// The loop body overwrites its own next instruction: first pass stores a
+// `movi r6, 7` word over the `movi r6, 1` site, so the second pass must
+// decode the NEW word.  The interpreter re-fetches naturally; the cache
+// must observe the store through the write watch and rebuild.
+constexpr std::string_view kSelfModifying = R"(
       li   r1, patch_site
       li   r2, patched_word
       ldw  r3, [r2]       ; r3 = encoding of "movi r6, 7"
@@ -232,24 +228,19 @@ TEST(Dispatch, SelfModifyingCodeInvalidates) {
       hlt
   patched_word:
       movi r6, 7          ; never executed here; fetched as data
-  )");
-}
+  )";
 
-TEST(Dispatch, FaultHandlerAtNextInstruction) {
-  differential(R"(
+constexpr std::string_view kFaultHandlerAtNext = R"(
       li   r1, 0x200000
       ldw  r2, [r1]       ; bus error; handler is the next instruction
   handler:
       movi r6, 99
       hlt
-  )",
-               1'000, {{kVecFault, "handler"}});
-}
+  )";
 
-TEST(Dispatch, IretWithCorruptedStack) {
-  // The handler clobbers SP before IRET, so the frame pops fault.  Both
-  // modes must walk the identical fault path.
-  differential(R"(
+// The handler clobbers SP before IRET, so the frame pops fault.  Both
+// modes must walk the identical fault path.
+constexpr std::string_view kIretCorruptedStack = R"(
       sti
       int  0x21
       hlt
@@ -257,8 +248,28 @@ TEST(Dispatch, IretWithCorruptedStack) {
       movi r7, 3          ; corrupt SP; iret pops fault
       iret
       hlt
-  )",
-               1'000, {{kVecSyscall, "handler"}});
+  )";
+
+TEST(Dispatch, StraightLineArithmetic) { differential(kStraightLine); }
+
+TEST(Dispatch, LoopsAndBranches) { differential(kLoopsAndBranches); }
+
+TEST(Dispatch, MemoryTraffic) { differential(kMemoryTraffic); }
+
+TEST(Dispatch, CallRetAndJumpTable) { differential(kCallRetAndJumpTable); }
+
+TEST(Dispatch, SoftwareInterruptRoundTrip) {
+  differential(kSoftwareInterrupt, 20'000, {{kVecSyscall, "handler"}});
+}
+
+TEST(Dispatch, SelfModifyingCodeInvalidates) { differential(kSelfModifying); }
+
+TEST(Dispatch, FaultHandlerAtNextInstruction) {
+  differential(kFaultHandlerAtNext, 1'000, {{kVecFault, "handler"}});
+}
+
+TEST(Dispatch, IretWithCorruptedStack) {
+  differential(kIretCorruptedStack, 1'000, {{kVecSyscall, "handler"}});
 }
 
 TEST(Dispatch, IrqDeliveryWindowsIdentical) {
@@ -384,6 +395,114 @@ TEST(Dispatch, FuzzedWordsFaultIdentically) {
     }
     ASSERT_FALSE(::testing::Test::HasFailure()) << "diverged in round " << round;
   }
+}
+
+// Two fetch faults under an armed EA-MPU: a fall-through into words a data
+// slot protects (denied fetch), then, from the fault handler, a jump into
+// MMIO (bus-error fetch).
+constexpr std::string_view kBadFetch = R"(
+      li   r1, guarded
+      ldw  r2, [r1]       ; slot 0 grants this read
+      li   r3, scratch
+      stw  r2, [r3]       ; unprotected write
+      jmp  fall
+  handler:
+      addi r6, 1
+      cmpi r6, 2
+      jz   done
+      li   r4, 0x100000   ; MMIO is never fetchable
+      jmpr r4
+  done:
+      jmp  done           ; HLT is privileged once a policy is armed
+  fall:
+      movi r0, 1
+  guarded:
+      movi r0, 2          ; protected data: the fetch is denied
+  scratch:
+      .word 0
+  )";
+
+/// Heat profile and tracer ring of one observed run of `source`.
+struct Observed {
+  std::string heat;
+  std::vector<Tracer::Entry> trace;
+  std::uint64_t faults = 0;
+};
+
+Observed run_observed(DispatchMode mode, std::string_view source,
+                      const std::vector<IdtBinding>& idt) {
+  hw::EaMpu mpu;  // outlives the machine that points at it
+  auto machine_ptr = std::make_unique<Machine>();
+  Machine& m = *machine_ptr;
+  m.set_dispatch_mode(mode);
+  m.enable_heat(/*time_dispatch=*/false);
+  m.enable_trace(1u << 15);  // holds every step below: no entry drops out
+  const auto symbols = load_program(m, source);
+  for (const IdtBinding& binding : idt) {
+    m.set_idt_entry(binding.vector, kCodeBase + symbols.at(binding.label));
+  }
+  // A program with a `guarded` label runs under an EA-MPU whose slot 0 turns
+  // the word there into data only the program may read and write; the
+  // others run bare, as in the lockstep tests.
+  if (symbols.contains("guarded")) {
+    EXPECT_TRUE(mpu.write_slot(0, {.code_start = kCodeBase,
+                                   .code_size = 0x1000,
+                                   .data_start = kCodeBase + symbols.at("guarded"),
+                                   .data_size = 4,
+                                   .perms = hw::kPermRead | hw::kPermWrite})
+                    .is_ok());
+    m.set_policy(&mpu);
+  }
+  for (int i = 0; i < 20'000 && !m.halted(); ++i) {
+    m.step();
+  }
+  m.heat()->flush();
+  return {m.heat()->profile().to_jsonl(false), m.tracer()->snapshot(), m.fault_count()};
+}
+
+TEST(Dispatch, ObservabilityIdenticalAcrossModes) {
+  const struct {
+    std::string_view source;
+    std::vector<IdtBinding> idt;
+  } programs[] = {
+      {kStraightLine, {}},
+      {kLoopsAndBranches, {}},
+      {kMemoryTraffic, {}},
+      {kCallRetAndJumpTable, {}},
+      {kSoftwareInterrupt, {{kVecSyscall, "handler"}}},
+      {kSelfModifying, {}},
+      {kFaultHandlerAtNext, {{kVecFault, "handler"}}},
+      {kIretCorruptedStack, {{kVecSyscall, "handler"}}},
+      {kBadFetch, {{kVecFault, "handler"}}},
+  };
+  bool saw_denied_fetch = false;
+  for (std::size_t p = 0; p < std::size(programs); ++p) {
+    const Observed interp =
+        run_observed(DispatchMode::kInterpreter, programs[p].source, programs[p].idt);
+    const Observed cached =
+        run_observed(DispatchMode::kCached, programs[p].source, programs[p].idt);
+    EXPECT_EQ(interp.faults, cached.faults) << "program " << p;
+    EXPECT_FALSE(interp.heat.empty()) << "program " << p;
+    EXPECT_EQ(interp.heat, cached.heat) << "program " << p;
+    ASSERT_EQ(interp.trace.size(), cached.trace.size()) << "program " << p;
+    for (std::size_t i = 0; i < interp.trace.size(); ++i) {
+      const Tracer::Entry& a = interp.trace[i];
+      const Tracer::Entry& b = cached.trace[i];
+      EXPECT_EQ(a.cycle, b.cycle) << "program " << p << " entry " << i;
+      EXPECT_EQ(a.eip, b.eip) << "program " << p << " entry " << i;
+      EXPECT_EQ(a.word, b.word) << "program " << p << " entry " << i;
+      EXPECT_EQ(a.note, b.note) << "program " << p << " entry " << i;
+      EXPECT_EQ(a.task, b.task) << "program " << p << " entry " << i;
+      EXPECT_EQ(a.verdict, b.verdict) << "program " << p << " entry " << i;
+      saw_denied_fetch = saw_denied_fetch || a.verdict == Tracer::kVerdictDenied;
+    }
+  }
+  // The bad-fetch program reached both of its fetch faults.
+  EXPECT_TRUE(saw_denied_fetch);
+  const Observed bad = run_observed(DispatchMode::kCached, kBadFetch, {{kVecFault, "handler"}});
+  EXPECT_EQ(bad.faults, 2u);
+  EXPECT_NE(bad.heat.find(R"("access":"execute","rule":"denied")"), std::string::npos);
+  EXPECT_NE(bad.heat.find(R"("access":"read","rule":"slot0")"), std::string::npos);
 }
 
 TEST(Dispatch, CacheStatsAndInvalidation) {

@@ -107,6 +107,23 @@ TEST(Fleet, DevicesHaveDistinctKeysNoncesAndReports) {
   }
 }
 
+TEST(Fleet, AttestRateCountsEverySweep) {
+  WorkloadConfig config = small_workload(3, 2);
+  config.attest_sweeps = 4;
+  Fleet fleet(config.fleet);
+  const WorkloadResult result = run_verifier_workload(fleet, config);
+  ASSERT_TRUE(result.all_verified());
+  std::uint64_t attestations = 0;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    attestations += fleet.device(i).attest_total();
+  }
+  EXPECT_EQ(attestations, 3u * 4u);
+  EXPECT_EQ(result.totals.attestations, attestations);
+  ASSERT_GT(result.attest_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(result.attests_per_sec() * result.attest_seconds,
+                   static_cast<double>(attestations));
+}
+
 // The tentpole invariant: same fleet config, different thread counts =>
 // byte-identical attestation reports, cycle counts, and metric snapshots.
 TEST(Fleet, DeterministicAcrossThreadCounts) {

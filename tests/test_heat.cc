@@ -7,11 +7,12 @@
 //     instructions_executed(), and so does the opcode histogram;
 //   * static/dynamic block agreement: CFG leaders split runtime blocks at
 //     analyzer boundaries;
-//   * classify() mirrors allows() decision-for-decision on the EA-MPU;
+//   * allows() agrees with classify() decision-for-decision on the EA-MPU;
 //   * dynamic indirect-branch edge profiles are a subset of the statically
 //     VSA-resolved target sets over the examples/asm corpus;
 //   * fleet aggregation is byte-identical across thread counts;
-//   * the JSONL export round-trips through the parser.
+//   * the JSONL export round-trips through the parser, region names with
+//     control characters included.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -434,6 +435,27 @@ TEST(HeatJsonl, RoundTripsThroughParser) {
     return log.opcode_name(op);
   };
   EXPECT_EQ(back.to_jsonl(true, reparse_namer), jsonl);
+}
+
+TEST(HeatJsonl, RegionNameWithControlCharactersRoundTrips) {
+  // tytan-run names regions after the TBF path, which may hold any byte: the
+  // name must stay inside its one-line record and parse back unchanged.
+  const std::string name = "dir\nname\twith \"quotes\", a \x01 byte and a trailing \\";
+  obs::HeatProfile profile;
+  profile.regions.push_back({1, name, 0x40000, 0x100});
+  profile.blocks[0x40000] = {0x40010, 1, 4};
+  const std::string jsonl = profile.to_jsonl(/*include_host_ns=*/false);
+  std::istringstream lines(jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_TRUE(line.front() == '{' && line.back() == '}') << line;
+  }
+  auto parsed = obs::parse_heat_jsonl(jsonl);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  ASSERT_EQ(parsed->profile.regions.size(), 1u);
+  EXPECT_EQ(parsed->profile.regions[0].name, name);
+  EXPECT_EQ(parsed->profile.regions[0].base, 0x40000u);
+  EXPECT_EQ(parsed->profile.regions[0].size, 0x100u);
+  EXPECT_EQ(parsed->profile.blocks.at(0x40000).instructions, 4u);
 }
 
 TEST(HeatJsonl, DeterministicExportExcludesHostNanoseconds) {

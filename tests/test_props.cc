@@ -191,50 +191,174 @@ TEST(SchedulerProperty, DelayedTasksWakeExactlyOnTime) {
 }
 
 // ---------------------------------------------------------------------------
-// EA-MPU: random rule sets — an access is allowed iff the reference model
-// (direct evaluation of the semantics) says so.
+// EA-MPU: random rule sets and execution regions — classify() returns exactly
+// the code of a reference model written from the semantics in hw/eampu.h,
+// and allows() is true iff that code is not "denied".  classify() is the one
+// implementation of the access decision, so this model is its independent
+// second opinion.
 // ---------------------------------------------------------------------------
+
+struct MpuModel {
+  std::vector<std::pair<std::size_t, hw::Rule>> slots;  ///< ascending slot index
+  std::vector<hw::ExecRegion> regions;
+
+  static bool in(std::uint32_t x, std::uint32_t start, std::uint32_t size) {
+    return x >= start && x - start < size;
+  }
+
+  [[nodiscard]] int region_of(std::uint32_t x) const {
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      if (in(x, regions[i].start, regions[i].size)) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  }
+
+  /// The expected classify() code: implicit self-access first; otherwise
+  /// the first slot in scan order whose code region holds the IP with the
+  /// wanted permission (or whose os bit admits an OS-window IP); otherwise
+  /// denied when a foreign execution region or a non-background rule covers
+  /// the address, unprotected when nothing does.  Nothing grants execute
+  /// beyond self-access and unprotected memory.
+  [[nodiscard]] int expected(std::uint32_t ip, std::uint32_t addr,
+                             sim::Access access) const {
+    const int addr_region = region_of(addr);
+    if (addr_region >= 0 && addr_region == region_of(ip)) {
+      return sim::kCheckImplicitSelf;
+    }
+    bool is_protected = addr_region >= 0;
+    for (const auto& [index, rule] : slots) {
+      is_protected =
+          is_protected || (!rule.background && in(addr, rule.data_start, rule.data_size));
+    }
+    const int refused = is_protected ? sim::kCheckDenied : sim::kCheckUnprotected;
+    if (access == sim::Access::kExecute) {
+      return refused;
+    }
+    const std::uint8_t wanted =
+        access == sim::Access::kRead ? hw::kPermRead : hw::kPermWrite;
+    const bool os_ip = in(ip, sim::kFwOsKernel, sim::kFwWindowSize);
+    for (const auto& [index, rule] : slots) {
+      if (!in(addr, rule.data_start, rule.data_size)) {
+        continue;
+      }
+      if (in(ip, rule.code_start, rule.code_size) && (rule.perms & wanted) != 0) {
+        return static_cast<int>(index);
+      }
+      if (rule.os_accessible && os_ip) {
+        return sim::kCheckOsWindow;
+      }
+    }
+    return refused;
+  }
+};
 
 TEST(EaMpuProperty, MatchesReferenceModelOnRandomConfigurations) {
   std::mt19937 rng(99);
-  for (int config = 0; config < 50; ++config) {
+  // Code and data live in two 0x8000-byte areas cut into 0x1000-byte cells;
+  // rules and execution regions land in cells of either area, so regions
+  // overlap rule data and rule code alike.
+  const auto cell = [&rng] {
+    return (rng() % 2 == 0 ? 0x40000u : 0x60000u) + (rng() % 8) * 0x1000u;
+  };
+  std::map<int, int> seen;  // classify() code -> hits (slots folded to 0)
+  std::map<int, int> seen_execute;
+  int background_grants = 0;
+  for (int config = 0; config < 200; ++config) {
     hw::EaMpu mpu;
-    std::vector<hw::Rule> rules;
-    const std::size_t rule_count = 1 + rng() % 6;
-    for (std::size_t i = 0; i < rule_count; ++i) {
-      hw::Rule rule;
-      rule.code_start = 0x40000 + (rng() % 8) * 0x1000;
-      rule.code_size = 0x800;
-      rule.data_start = 0x60000 + (rng() % 8) * 0x1000;
-      rule.data_size = 0x800;
-      rule.perms = static_cast<std::uint8_t>(1 + rng() % 3);  // R, W, or RW
-      ASSERT_TRUE(mpu.write_slot(i, rule).is_ok());
-      rules.push_back(rule);
-    }
-    for (int query = 0; query < 200; ++query) {
-      const std::uint32_t ip = 0x40000 + rng() % 0x9000;
-      const std::uint32_t addr = 0x5F000 + rng() % 0xA000;
-      const auto access = (rng() % 2 == 0) ? sim::Access::kRead : sim::Access::kWrite;
-      const std::uint8_t wanted =
-          access == sim::Access::kRead ? hw::kPermRead : hw::kPermWrite;
-      // Reference model: protected iff covered by any rule; allowed iff some
-      // covering rule grants (no exec regions / background / os bits here).
-      bool covered = false;
-      bool granted = false;
-      for (const hw::Rule& rule : rules) {
-        if (addr >= rule.data_start && addr - rule.data_start < rule.data_size) {
-          covered = true;
-          if (ip >= rule.code_start && ip - rule.code_start < rule.code_size &&
-              (rule.perms & wanted) != 0) {
-            granted = true;
-          }
-        }
+    MpuModel model;
+    // Execution regions in distinct cells (they may not overlap).
+    std::vector<std::uint32_t> cells;
+    const std::size_t region_count = rng() % 4;
+    while (model.regions.size() < region_count) {
+      const std::uint32_t base = cell();
+      if (std::find(cells.begin(), cells.end(), base) != cells.end()) {
+        continue;
       }
-      const bool expected = !covered || granted;
-      EXPECT_EQ(mpu.allows(ip, addr, access), expected)
+      cells.push_back(base);
+      const hw::ExecRegion region{static_cast<std::uint32_t>(base + (rng() % 4) * 0x100),
+                                  static_cast<std::uint32_t>(0x400 + (rng() % 4) * 0x100),
+                                  hw::ExecRegion::kEntryAnywhere};
+      ASSERT_TRUE(mpu.add_exec_region(region).is_ok());
+      model.regions.push_back(region);
+    }
+    // Rules in random slots (gaps included), some background, some
+    // OS-accessible, some with the OS window as their code region.
+    std::vector<std::size_t> indices(hw::EaMpu::kNumSlots);
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      indices[i] = i;
+    }
+    std::shuffle(indices.begin(), indices.end(), rng);
+    indices.resize(1 + rng() % 6);
+    for (const std::size_t index : indices) {
+      hw::Rule rule;
+      rule.code_start = rng() % 5 == 0 ? sim::kFwOsKernel : cell();
+      rule.code_size = 0x800;
+      rule.data_start = cell() + (rng() % 2) * 0x400;
+      rule.data_size = 0x800;
+      rule.perms = static_cast<std::uint8_t>(1 + rng() % 7);  // any non-empty R/W/X mix
+      rule.os_accessible = rng() % 3 == 0;
+      rule.background = rng() % 4 == 0;
+      ASSERT_TRUE(mpu.write_slot(index, rule).is_ok());
+      model.slots.emplace_back(index, rule);
+    }
+    std::sort(model.slots.begin(), model.slots.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+
+    for (int query = 0; query < 300; ++query) {
+      std::uint32_t ip = 0;
+      switch (rng() % 4) {
+        case 0:  // inside the OS window, or just past its end
+          ip = sim::kFwOsKernel + rng() % (sim::kFwWindowSize + 0x400);
+          break;
+        case 1:
+          ip = 0x60000 + rng() % 0x9000;
+          break;
+        default:
+          ip = 0x40000 + rng() % 0x9000;
+          break;
+      }
+      const sim::Access access = static_cast<sim::Access>(rng() % 3);
+      std::uint32_t addr = 0;
+      switch (rng() % 3) {
+        case 0:  // near the IP: self-access
+          addr = ip + (rng() % 64) * 4;
+          break;
+        case 1: {  // a rule's own code touching its data
+          const hw::Rule& rule = model.slots[rng() % model.slots.size()].second;
+          ip = rule.code_start + rng() % rule.code_size;
+          addr = rule.data_start + rng() % rule.data_size;
+          break;
+        }
+        default:
+          addr = (rng() % 2 == 0 ? 0x3F000u : 0x5F000u) + rng() % 0xA000;
+          break;
+      }
+      if (access == sim::Access::kExecute && rng() % 2 == 0) {
+        addr = ip;  // an instruction fetch
+      }
+      const int want = model.expected(ip, addr, access);
+      const int got = mpu.classify(ip, addr, access);
+      EXPECT_EQ(got, want) << "config " << config << " ip=0x" << std::hex << ip
+                           << " addr=0x" << addr << " access=" << sim::access_name(access);
+      EXPECT_EQ(mpu.allows(ip, addr, access), want != sim::kCheckDenied)
           << "config " << config << " ip=0x" << std::hex << ip << " addr=0x" << addr;
+      ++(access == sim::Access::kExecute ? seen_execute : seen)[want >= 0 ? 0 : want];
+      if (want >= 0) {
+        background_grants += mpu.slot(static_cast<std::size_t>(want)).background ? 1 : 0;
+      }
     }
   }
+  // Every outcome of the decision was exercised.
+  for (const int code : {0, sim::kCheckDenied, sim::kCheckUnprotected,
+                         sim::kCheckImplicitSelf, sim::kCheckOsWindow}) {
+    EXPECT_GT(seen[code], 100) << "read/write code " << code;
+  }
+  for (const int code : {sim::kCheckDenied, sim::kCheckUnprotected, sim::kCheckImplicitSelf}) {
+    EXPECT_GT(seen_execute[code], 100) << "execute code " << code;
+  }
+  EXPECT_GT(background_grants, 100);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 namespace tytan::tools {
 
@@ -97,6 +98,15 @@ inline std::int64_t parse_i64(const char* tool, const char* flag, const char* te
     std::exit(2);
   }
   return static_cast<std::int64_t>(value);
+}
+
+/// Nearest-rank percentile over a sorted cycle list.
+inline std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, unsigned pct) {
+  if (sorted.empty()) {
+    return 0;
+  }
+  const std::size_t rank = (sorted.size() * pct + 99) / 100;
+  return sorted[rank == 0 ? 0 : rank - 1];
 }
 
 }  // namespace tytan::tools

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "common/json.h"
 #include "isa/assembler.h"
 #include "isa/disasm.h"
 #include "tbf/tbf.h"
@@ -80,28 +81,6 @@ void print_context(const isa::ObjectFile& object, std::uint32_t offset) {
     std::printf("  %c 0x%04x:  %08x  %s%s\n", at == word_offset ? '>' : ' ', at,
                 word, isa::disassemble_word(word, at).c_str(), reloc_note);
   }
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Machine-readable report, same flat-object style as `tytan-trace stats

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "common/json.h"
 #include "isa/disasm.h"
 #include "isa/isa.h"
 #include "obs/heat.h"
@@ -28,28 +29,6 @@ namespace {
 
 constexpr const char kUsageText[] =
     "usage: tytan-objdump [--json] [--heat PROFILE] <file.tbf>\n";
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Pick the heat region this TBF corresponds to: exact name match on the
 /// path argument (tytan-run registers regions under the load path), else the
