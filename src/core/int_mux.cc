@@ -69,22 +69,35 @@ void IntMux::on_interrupt() {
   save_stats_ = SaveStats{};
   const std::uint64_t t0 = machine_.cycles();
 
-  Tcb* tcb = task_lookup_ ? task_lookup_(origin) : nullptr;
+  Tcb* tcb = running_task_ ? running_task_() : nullptr;
   if (tcb != nullptr && tcb->kind == rtos::TaskKind::kGuest) {
     // CPU-time accounting: everything since the last dispatch belongs to the
     // interrupted task (basis for the §5 execution-time bounding).
     const std::uint64_t consumed = machine_.cycles() - tcb->dispatch_cycle;
     tcb->cpu_cycles += consumed;
     tcb->budget_used += consumed;
-    const bool saved = (tcb->secure && shadow_.contains(tcb->handle))
-                           ? save_secure(*tcb)
-                           : save_normal(*tcb);
+    // An origin outside the running task's region means the task branched
+    // into code that is not its own: another task's region, or zeroed
+    // unprotected RAM that executes as nops.  That context is never saved —
+    // resuming it would hand the task's state to foreign code, and it must
+    // not land in the frame of the task whose code was borrowed.
+    const bool own_code = origin - tcb->region_base < tcb->region_size;
+    const bool saved = own_code && ((tcb->secure && shadow_.contains(tcb->handle))
+                                        ? save_secure(*tcb)
+                                        : save_normal(*tcb));
     if (!saved) {
-      // The task's stack pointer leads outside writable memory: the context
-      // cannot be preserved.  Contain it — record a stack fault and route to
-      // the fault handler, which kills the offending task.
-      machine_.record_fault({sim::FaultType::kStackFault, origin,
-                             machine_.cpu().sp(), sim::Access::kWrite});
+      // Foreign code, or a stack pointer leading outside writable memory:
+      // the context cannot be preserved.  Contain it — record the fault and
+      // route to the fault handler, which kills the offending task.  A
+      // secure task's registers are wiped first: the fault handler is OS code.
+      machine_.record_fault(own_code
+                                ? sim::FaultInfo{sim::FaultType::kStackFault, origin,
+                                                 machine_.cpu().sp(), sim::Access::kWrite}
+                                : sim::FaultInfo{sim::FaultType::kForeignCode, origin,
+                                                 origin, sim::Access::kExecute});
+      if (tcb->secure) {
+        wipe_registers();
+      }
       const auto fault_handler = vector_handlers_.find(sim::kVecFault);
       if (fault_handler == vector_handlers_.end()) {
         machine_.halt(sim::HaltReason::kDoubleFault);
@@ -143,18 +156,23 @@ bool IntMux::save_secure(Tcb& tcb) {
   machine_.fw_write32(kIdent, index.slot_addr + kOffSavedSp, sp);
   save_stats_.store = machine_.cycles() - t0;
 
-  // Wipe the register file (7 GPRs + SP + arithmetic flags).
   const std::uint64_t t1 = machine_.cycles();
-  for (unsigned i = 0; i < isa::kNumGprs; ++i) {
-    machine_.charge(costs.intmux_wipe_reg);
-    cpu.regs[i] = 0;
-  }
-  cpu.eflags &= isa::kFlagIF;  // clear Z/C/N/V; IF already cleared by dispatch
+  wipe_registers();
   save_stats_.wipe = machine_.cycles() - t1;
   save_stats_.secure = true;
 
   tcb.context_saved = true;
   return true;
+}
+
+void IntMux::wipe_registers() {
+  // 7 GPRs + SP + arithmetic flags.
+  auto& cpu = machine_.cpu();
+  for (unsigned i = 0; i < isa::kNumGprs; ++i) {
+    machine_.charge(machine_.costs().intmux_wipe_reg);
+    cpu.regs[i] = 0;
+  }
+  cpu.eflags &= isa::kFlagIF;  // clear Z/C/N/V; IF already cleared by dispatch
 }
 
 bool IntMux::save_normal(Tcb& tcb) {

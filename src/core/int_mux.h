@@ -53,9 +53,11 @@ class IntMux {
   // -- wiring -------------------------------------------------------------------
   /// Second-level handler (a firmware address) for an interrupt vector.
   void set_vector_handler(std::uint8_t vector, std::uint32_t fw_addr);
-  /// Resolver mapping a code address to the guest task executing there.
-  void set_task_lookup(std::function<rtos::Tcb*(std::uint32_t)> lookup) {
-    task_lookup_ = std::move(lookup);
+  /// Source of the running task (the scheduler's current TCB, or null).  An
+  /// interrupt belongs to the running guest task; on_interrupt checks the
+  /// origin EIP against that task's region itself.
+  void set_running_task(std::function<rtos::Tcb*()> running) {
+    running_task_ = std::move(running);
   }
 
   // -- shadow TCBs ----------------------------------------------------------------
@@ -129,10 +131,12 @@ class IntMux {
   /// Return false if the task's stack is not writable (wild SP); the caller
   /// routes to the fault handler instead of crashing the TCB.
   bool save_secure(rtos::Tcb& tcb);
+  /// Zero the register file and arithmetic flags, charging the Table 2 wipe.
+  void wipe_registers();
   bool save_normal(rtos::Tcb& tcb);
 
   sim::Machine& machine_;
-  std::function<rtos::Tcb*(std::uint32_t)> task_lookup_;
+  std::function<rtos::Tcb*()> running_task_;
   std::map<std::uint8_t, std::uint32_t> vector_handlers_;
   std::map<rtos::TaskHandle, ShadowIndex> shadow_;
   SaveStats save_stats_;

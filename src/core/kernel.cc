@@ -27,16 +27,7 @@ void Kernel::install() {
   int_mux_.set_vector_handler(sim::kVecTimer, kIdent + kTickHandlerOff);
   int_mux_.set_vector_handler(sim::kVecSyscall, kIdent + kSyscallHandlerOff);
   int_mux_.set_vector_handler(sim::kVecFault, sim::kFwFaultHandler);
-  int_mux_.set_task_lookup([this](std::uint32_t addr) -> Tcb* {
-    for (const TaskHandle handle : scheduler_.handles()) {
-      Tcb* tcb = scheduler_.get(handle);
-      if (tcb != nullptr && tcb->kind == TaskKind::kGuest && addr >= tcb->region_base &&
-          addr - tcb->region_base < tcb->region_size) {
-        return tcb;
-      }
-    }
-    return nullptr;
-  });
+  int_mux_.set_running_task([this] { return scheduler_.current(); });
 }
 
 Result<TaskHandle> Kernel::create_firmware_task(const std::string& name, unsigned priority,
@@ -70,7 +61,9 @@ Result<TaskHandle> Kernel::create_firmware_task(const std::string& name, unsigne
 
 std::function<bool()> Kernel::idle_quantum() {
   return [this]() {
-    machine_.charge(20);  // the idle loop burns a few cycles per pass
+    // The idle loop burns a few cycles per pass; run() fast-forwards the
+    // passes up to its next observable event in one call.
+    machine_.spin(20);
     return true;
   };
 }

@@ -260,6 +260,7 @@ void Fleet::aggregate_metrics() {
   metrics_.counter("fleet.faults").inc(t.faults);
   metrics_.counter("fleet.attestations").inc(t.attested);
   metrics_.counter("fleet.attestations_verified").inc(t.verified);
+  metrics_.counter("fleet.idle_passes_skipped").inc(t.idle_passes_skipped);
 }
 
 std::string Fleet::spans_jsonl() const {
@@ -365,6 +366,7 @@ Fleet::Totals Fleet::totals() const {
     t.instructions += machine.instructions_executed();
     t.interrupts += machine.interrupts_dispatched();
     t.faults += machine.fault_count();
+    t.idle_passes_skipped += machine.idle_passes_skipped();
     t.attestations += device->attest_total_;
     if (device->attested_) {
       ++t.attested;

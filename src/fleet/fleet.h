@@ -204,6 +204,7 @@ class Fleet {
     std::size_t attested = 0;
     std::size_t verified = 0;
     std::uint64_t attestations = 0;  ///< sum of attest_total(): every sweep and retry
+    std::uint64_t idle_passes_skipped = 0;  ///< sum of Machine::idle_passes_skipped()
   };
   [[nodiscard]] Totals totals() const;
 

@@ -46,6 +46,8 @@ class SampleProfiler {
         next_(interval_) {}
 
   [[nodiscard]] bool due(std::uint64_t cycle) const { return cycle >= next_; }
+  /// The first cycle at which due() turns true.
+  [[nodiscard]] std::uint64_t next_due() const { return next_; }
   void take(std::uint64_t cycle, std::uint32_t pc, std::int32_t task);
 
   /// Register a loaded task's code region + symbol table (label -> offset

@@ -36,6 +36,7 @@ enum class FaultType : std::uint8_t {
   kStackFault,   ///< exception frame push failed
   kNoHandler,    ///< IDT entry for a raised vector is null
   kPrivileged,   ///< guest executed a privileged instruction (hlt)
+  kForeignCode,  ///< task interrupted while running outside its own region
 };
 
 const char* fault_name(FaultType t);

@@ -1,5 +1,6 @@
 #include "sim/machine.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <sstream>
@@ -22,6 +23,7 @@ const char* fault_name(FaultType t) {
     case FaultType::kStackFault: return "stack-fault";
     case FaultType::kNoHandler: return "no-handler";
     case FaultType::kPrivileged: return "privileged";
+    case FaultType::kForeignCode: return "foreign-code";
   }
   return "?";
 }
@@ -563,10 +565,37 @@ void Machine::dispatch_pending() {
 }
 
 HaltReason Machine::run(std::uint64_t cycle_limit) {
+  run_limit_ = cycle_limit;
   while (!halted() && cycles_ < cycle_limit) {
     step();
   }
+  run_limit_ = 0;
   return halted() ? halt_reason_ : HaltReason::kCycleLimit;
+}
+
+void Machine::spin(std::uint64_t per_pass) {
+  charge(per_pass);
+  if (per_pass == 0 || halted() || pending_ != 0 || tracer_ != nullptr ||
+      bus_.timing_epoch() != device_timing_epoch_) {
+    return;
+  }
+  // The event horizon: the first step top at or past it would stop run(),
+  // tick a device, or take a profiler sample.  Every step top before it
+  // re-invokes the caller unobserved — EIP stays at the firmware entry, no
+  // IRQ can arrive without a device tick, and nothing else charges.
+  std::uint64_t horizon = std::min(run_limit_, next_device_tick_);
+  if (profiler_ != nullptr) {
+    horizon = std::min(horizon, profiler_->next_due());
+  }
+  if (horizon <= cycles_) {
+    return;
+  }
+  // Passes start at cycles_, cycles_ + per_pass, ... while below the horizon.
+  const std::uint64_t skipped = (horizon - cycles_ - 1) / per_pass + 1;
+  cycles_ += skipped * per_pass;
+  step_top_cycles_ = cycles_ - per_pass;  // the last skipped pass's step top
+  fw_invocations_ += skipped;
+  idle_passes_skipped_ += skipped;
 }
 
 void Machine::execute_one() {

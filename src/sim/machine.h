@@ -125,6 +125,19 @@ class Machine {
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
   void charge(std::uint64_t c) { cycles_ += c; }
 
+  /// Charge one pass of a spinning firmware quantum (`per_pass` cycles), plus
+  /// every identical back-to-back pass run() would step before its next
+  /// observable event: the run's cycle limit, the next device tick, or the
+  /// next profiler sample.  The caller must be a firmware handler that leaves
+  /// EIP at its own entry, charges nothing after this call, and would do the
+  /// same on re-invocation (the kernel idle quantum).  Skipped passes are
+  /// accounted exactly as stepped ones — cycles, firmware invocations, the
+  /// lazy device-time latch — so every simulated quantity and snapshot byte
+  /// matches single-stepping.  Charges a single pass when an IRQ is pending,
+  /// the tracer is on, the machine is halted, the device schedule moved, or
+  /// outside run() (step() and Platform::run_until never skip).
+  void spin(std::uint64_t per_pass);
+
   // -- interrupt lines ----------------------------------------------------------
   void raise_irq(std::uint8_t vector);
   [[nodiscard]] bool irq_pending() const { return pending_ != 0; }
@@ -181,6 +194,10 @@ class Machine {
   [[nodiscard]] std::uint64_t instructions_executed() const { return instructions_; }
   [[nodiscard]] std::uint64_t interrupts_dispatched() const { return interrupts_; }
   [[nodiscard]] std::uint64_t firmware_invocations() const { return fw_invocations_; }
+  /// Passes spin() charged beyond the one requested (host-only, never
+  /// snapshotted: a deterministic function of the run() limits and the
+  /// simulated execution, zero under single-stepping).
+  [[nodiscard]] std::uint64_t idle_passes_skipped() const { return idle_passes_skipped_; }
 
   /// Enable (capacity > 0) or disable (capacity == 0) instruction tracing
   /// into a ring buffer; useful for post-mortem fault analysis.
@@ -356,6 +373,10 @@ class Machine {
   std::uint64_t device_timing_epoch_ = 0;
   std::uint64_t step_top_cycles_ = 0;
   bool device_time_dirty_ = false;  ///< steps ran since the last flush/restore
+  /// The cycle limit of the run() in progress; 0 outside run(), which makes
+  /// spin() charge a single pass.  Host-only.
+  std::uint64_t run_limit_ = 0;
+  std::uint64_t idle_passes_skipped_ = 0;
   std::uint64_t pending_ = 0;  ///< bitmask over 64 vectors; bit i = vector i
   std::uint32_t int_origin_eip_ = 0;
   std::uint8_t int_vector_ = 0;

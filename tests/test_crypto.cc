@@ -56,6 +56,18 @@ TEST(Sha1, StreamingEqualsOneShot) {
   EXPECT_EQ(ctx.finish(), Sha1::hash(data));
 }
 
+// An empty span carries a null data(); mid-block it used to reach memcpy
+// with a null source, which UBSan (the sanitize job) rejects.
+TEST(Sha1, EmptyUpdateMidBlockIsNoOp) {
+  const ByteVec data = str_bytes("abc");
+  Sha1 ctx;
+  ctx.update(std::span<const std::uint8_t>{});
+  ctx.update(data);
+  ctx.update(std::span<const std::uint8_t>{});
+  EXPECT_EQ(ctx.blocks_processed(), 0u);
+  EXPECT_EQ(ctx.finish(), Sha1::hash(data));
+}
+
 TEST(Sha1, BlockCountMatchesPadding) {
   EXPECT_EQ(sha1_block_count(0), 1u);
   EXPECT_EQ(sha1_block_count(55), 1u);   // 55 + 1 + 8 = 64

@@ -179,5 +179,106 @@ TEST(IntMux, EntryPointEnforcedAgainstJumpIntoTask) {
   EXPECT_EQ(platform.machine().last_fault().type, sim::FaultType::kMpuTransfer);
 }
 
+// A task may branch out of its region into zeroed unprotected RAM: the fetch
+// is legal and the zeros run as nops.  With SP also in unprotected RAM, the
+// next tick's hardware frame push (under the foreign code's identity)
+// succeeds, and the Int Mux sees an interrupt from outside the running
+// task's region.  It must neither leave the task unsaved (a normal task's
+// next dispatch found no context and aborted the host; a secure task was
+// silently restarted from its entry) nor file the foreign context as the
+// task's: the task is contained as a fault kill, and a secure task's
+// registers are wiped before the OS fault handler runs.
+void expect_foreign_code_kill(bool secure) {
+  const std::string source = std::string(secure ? "    .secure\n" : "") + R"(
+    .stack 128
+    .entry main
+main:
+    call here
+here:
+    pop  r1                ; r1 = absolute address of `here`
+    li   r2, 0x3000
+    add  r1, r2
+    mov  r7, r1            ; SP into zeroed, unprotected RAM
+    li   r3, 0xcafe0003
+    li   r4, 0xcafe0004
+    call 0x2000            ; far past the region: nops until the next tick
+    hlt
+)";
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto task = platform.load_task_source(source, {.name = "stray"});
+  ASSERT_TRUE(task.is_ok()) << task.status().to_string();
+  const rtos::Tcb* tcb = platform.scheduler().get(*task);
+  ASSERT_EQ(tcb->secure, secure);
+  const std::uint32_t region_end = tcb->region_base + tcb->region_size;
+  sim::Machine& machine = platform.machine();
+  bool at_fault_handler = false;
+  while (!at_fault_handler && machine.cycles() < 500'000) {
+    machine.step();
+    at_fault_handler = machine.cpu().eip == sim::kFwFaultHandler;
+  }
+  ASSERT_TRUE(at_fault_handler) << "the task was never contained";
+  if (secure) {
+    for (unsigned r = 0; r < isa::kNumGprs; ++r) {
+      EXPECT_NE(machine.cpu().regs[r] & 0xFFFF0000u, 0xcafe0000u) << "r" << r << " leaked";
+    }
+  }
+  platform.run_for(100'000);
+  EXPECT_EQ(platform.kernel().fault_kills(), 1u);
+  EXPECT_EQ(platform.scheduler().get(*task), nullptr);
+  EXPECT_FALSE(machine.halted());
+  const sim::FaultInfo& fault = machine.last_fault();
+  EXPECT_EQ(fault.type, sim::FaultType::kForeignCode) << fault.to_string();
+  EXPECT_GE(fault.eip, region_end) << fault.to_string();
+}
+
+TEST(IntMux, NormalTaskInterruptedInForeignCodeIsKilled) {
+  expect_foreign_code_kill(/*secure=*/false);
+}
+
+TEST(IntMux, SecureTaskInterruptedInForeignCodeIsKilled) {
+  expect_foreign_code_kill(/*secure=*/true);
+}
+
+// A normal task may jump into another normal task's code (the EA-MPU guards
+// only secure entry points).  The interrupt that lands there belongs to the
+// jumper, not to the region's owner: looked up by origin EIP, the jumper's
+// registers were filed as the owner's context on the jumper's stack, the
+// jumper's kill wiped that frame, and the owner's next dispatch aborted the
+// host.  Now the jumper alone is killed and the owner keeps running.
+TEST(IntMux, JumpIntoAnotherTasksCodeKillsOnlyTheJumper) {
+  Platform platform;
+  ASSERT_TRUE(platform.boot().is_ok());
+  auto owner = platform.load_task_source(R"(
+    .stack 128
+    .entry main
+main:
+    movi r0, 4
+    movi r1, 46
+    int  0x21             ; print '.'
+    movi r0, 2
+    movi r1, 5
+    int  0x21             ; sleep 5 ticks
+    jmp  main
+spin:
+    addi r3, 1
+    jmp  spin
+)",
+                                         {.name = "owner", .priority = 2});
+  ASSERT_TRUE(owner.is_ok());
+  const std::uint32_t spin = platform.scheduler().get(*owner)->entry + 28;
+  auto jumper = platform.load_task_source(
+      "    .stack 128\n    .entry main\nmain:\n    li r1, " + std::to_string(spin) +
+          "\n    jmpr r1\n",
+      {.name = "jumper", .priority = 3});
+  ASSERT_TRUE(jumper.is_ok());
+  platform.run_for(2'000'000);
+  EXPECT_EQ(platform.kernel().fault_kills(), 1u);
+  EXPECT_EQ(platform.scheduler().get(*jumper), nullptr);
+  EXPECT_NE(platform.scheduler().get(*owner), nullptr);
+  EXPECT_EQ(platform.machine().last_fault().type, sim::FaultType::kForeignCode);
+  EXPECT_GT(platform.serial().output().size(), 3u) << "the owner stopped running";
+}
+
 }  // namespace
 }  // namespace tytan

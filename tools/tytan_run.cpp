@@ -332,6 +332,8 @@ int main(int argc, char** argv) {
   hub.flush();
   if (metrics) {
     std::printf("\n%s", obs::export_metrics_summary(hub).c_str());
+    std::printf("--- machine ---\n  idle passes skipped   %llu\n",
+                static_cast<unsigned long long>(platform.machine().idle_passes_skipped()));
   }
   const obs::SampleProfiler* profiler = platform.machine().profiler();
   if (profiler != nullptr) {
